@@ -10,10 +10,10 @@ Distributed Multi-Class SVM"):
    existing resumable :class:`~repro.solvers.batch_smo.BatchSMOSession`
    under the interleaved wave scheduler, one wave group per device (the
    same machinery single-device and pair-sharded training use).  Fault
-   injection plugs in here exactly as in ``train_multiclass_sharded``:
-   stragglers stretch the device clock, a scripted device loss aborts at
-   a wave boundary and the lost shards re-solve on the survivors from
-   the last shipped checkpoint.
+   injection goes through the same :mod:`repro.faults.recovery` protocol
+   as ``train_multiclass_sharded``: stragglers stretch the device clock,
+   a scripted device loss aborts at a wave boundary and the lost shards
+   re-solve on the survivors from the last shipped checkpoint.
 3. **Reduction-tree merge** — surviving support vectors fold pairwise up
    a topology-aware tree (:mod:`repro.cascade.tree`): the src slot's SV
    rows and weights cross a ``DevicePool`` peer link (intra-node tier
@@ -49,19 +49,16 @@ import numpy as np
 from repro.cascade.config import CascadeConfig
 from repro.cascade.partition import effective_shards, shard_instances
 from repro.cascade.tree import build_reduction_tree, assign_shards
-from repro.core.interleave import PairMember, run_interleaved
-from repro.exceptions import (
-    ConvergenceWarning,
-    DeviceLostError,
-    SolverError,
-    ValidationError,
+from repro.core.interleave import PairMember
+from repro.exceptions import ConvergenceWarning, ValidationError
+from repro.faults.plan import FaultPlan
+from repro.faults.recovery import (
+    FaultRun,
+    fault_summary,
+    open_faults,
+    recovery_inputs,
+    run_wave_group,
 )
-from repro.faults.checkpoint import (
-    CheckpointStore,
-    SessionSnapshot,
-    TrainingCheckpoint,
-)
-from repro.faults.plan import FaultInjector, FaultPlan
 from repro.gpusim.clock import SimClock
 from repro.gpusim.engine import FLOAT_BYTES, make_engine
 from repro.kernels.functions import KernelFunction
@@ -181,22 +178,6 @@ def _slot_payload_bytes(slot: _Slot, per_row: float) -> int:
         round(slot.n_sv * per_row)
         + slot.n_sv * FLOAT_BYTES
         + _SLOT_HEADER_BYTES
-    )
-
-
-def _member_snapshot(member: PairMember) -> SessionSnapshot:
-    """One shard member's resumable solver state (keyed by shard id)."""
-    state = member.session.snapshot_state()
-    return SessionSnapshot(
-        problem_index=member.index,
-        alpha=state["alpha"],
-        f=state["f"],
-        rounds=state["rounds"],
-        inner_total=state["inner_total"],
-        ws_order=tuple(state["ws_order"]),
-        stalled=state["stalled"],
-        converged=state["converged"],
-        finished=state["finished"],
     )
 
 
@@ -473,14 +454,13 @@ def _cascade_solve(
     penalty: float,
     *,
     penalty_vector: Optional[np.ndarray] = None,
-    injector: Optional[FaultInjector] = None,
-    store: Optional[CheckpointStore] = None,
-    checkpoint_every: int = 4,
+    faults: Optional[FaultRun] = None,
     member_clocks: Optional[list[SimClock]] = None,
     tracer=None,
 ) -> tuple[SolverResult, CascadeReport]:
     """Run one cascade solve over an existing :class:`DevicePool`.
 
+    ``faults`` is the run's fault state (none injected when omitted).
     ``member_clocks`` (one per device) accumulate the wave-scaled member
     time; the caller folds them with the pool's engine clocks to obtain
     the timeline.  Returns the full-problem :class:`SolverResult` (alpha
@@ -517,93 +497,53 @@ def _cascade_solve(
     # ------------------------------------------------------------------
     # Phase 1: per-device shard sub-solves under the wave scheduler.
     # ------------------------------------------------------------------
-    members_by_device: dict[int, list[_ShardMember]] = {}
-    for shard, indices in enumerate(shards):
-        device = shard_device[shard]
-        members_by_device.setdefault(device, []).append(
-            _make_shard_member(
-                config, shard, indices, data, labels, kernel, penalty,
-                weighted_box, pool.engine(device).counters,
-            )
-        )
-    lost_devices: dict[int, float] = {}
+    faults = faults if faults is not None else FaultRun()
     results: dict[int, SolverResult] = {}
     shard_seconds = 0.0
-    for device in sorted(members_by_device):
-        members = members_by_device[device]
+
+    def run_device(device, shard_ids, snapshots=None):
+        # Ship the shards' rows to ``device`` and solve them there as one
+        # wave group (a recovery group when ``snapshots`` is given).
+        nonlocal shard_seconds
         master = pool.engine(device)
         if tracer is not None:
             tracer.bind_clock(master.clock)
-        resident = int(
-            round(sum(m.problem.n for m in members) * per_row)
-        )
+        resident = int(round(sum(shards[s].size for s in shard_ids) * per_row))
         with maybe_span(
             tracer,
             "cascade_shard_wave",
             clock=master.clock,
             device=device,
-            n_shards=len(members),
+            n_shards=len(shard_ids),
             resident_bytes=resident,
+            **({} if snapshots is None else {"recovery": True}),
         ) as device_span:
             pool.host_to_device(device, resident)
-            if injector is not None:
-                rate = injector.straggler_rate(device)
-                if rate != 1.0:
-                    for member in members:
-                        member.engine.clock.rate = rate
-            loss_at = (
-                injector.loss_time(device) if injector is not None else None
+            restored = snapshots or {}
+            pool.host_to_device(
+                device,
+                sum(restored[s].nbytes for s in shard_ids if s in restored),
+                category="checkpoint",
             )
-            on_wave = None
-            if loss_at is not None or store is not None:
-
-                def on_wave(
-                    wave_index,
-                    running,
-                    finished,
-                    wave_outcome,
-                    *,
-                    _device=device,
-                    _members=members,
-                    _master=master,
-                    _loss_at=loss_at,
-                ):
-                    now_s = (
-                        _master.clock.elapsed_s
-                        + wave_outcome.timeline.elapsed_s
-                    )
-                    # Loss first: a checkpoint "taken" on the wave that
-                    # crosses the loss time never reached the host.
-                    if _loss_at is not None and now_s >= _loss_at:
-                        injector.check_device(_device, now_s)
-                    if store is not None and wave_index % checkpoint_every == 0:
-                        checkpoint = TrainingCheckpoint(
-                            device=_device,
-                            wave=wave_index,
-                            simulated_s=now_s,
-                            snapshots={
-                                m.index: _member_snapshot(m)
-                                for m in _members
-                            },
-                        )
-                        pool.device_to_host(
-                            _device, checkpoint.nbytes, category="checkpoint"
-                        )
-                        store.save(checkpoint)
-
-            limits = _interleave_limits(config, resident)
-            try:
-                outcome = run_interleaved(
-                    members,
-                    limits,
-                    tracer=tracer,
-                    span_clock=master.clock,
-                    on_wave=on_wave,
+            members = [
+                _make_shard_member(
+                    config, shard, shards[shard], data, labels, kernel,
+                    penalty, weighted_box, master.counters,
                 )
-            except DeviceLostError as exc:
-                lost_devices[device] = exc.at_s
-                device_span.set(lost=True, lost_at_s=exc.at_s)
-                continue
+                for shard in shard_ids
+            ]
+            outcome = run_wave_group(
+                faults,
+                pool,
+                device,
+                members,
+                _interleave_limits(config, resident),
+                tracer=tracer,
+                snapshots=snapshots,
+            )
+            if outcome is None:
+                device_span.set(lost=True, lost_at_s=faults.lost[device])
+                return
             member_clocks[device].merge(outcome.timeline)
             shard_seconds = max(shard_seconds, outcome.timeline.elapsed_s)
             for member in members:
@@ -615,30 +555,26 @@ def _cascade_solve(
         if tracer is not None:
             tracer.bind_clock(None)
 
+    shards_by_device: dict[int, list[int]] = {}
+    for shard in range(n_shards):
+        shards_by_device.setdefault(shard_device[shard], []).append(shard)
+    for device in sorted(shards_by_device):
+        run_device(device, shards_by_device[device])
+
     # ------------------------------------------------------------------
     # Recovery: lost devices hand their shards to the survivors, which
     # restore the last shipped checkpoint (or restart) and re-solve.
     # ------------------------------------------------------------------
-    if lost_devices:
-        survivors = [
-            d for d in range(pool.n_devices) if d not in lost_devices
-        ]
-        if not survivors:
-            raise SolverError(
-                "every device in the cluster was lost mid-cascade; "
-                "nothing survives to recover on"
-            )
+    if faults.lost:
         lost_shards = sorted(
-            member.index
-            for device in lost_devices
-            for member in members_by_device.get(device, [])
+            shard
+            for device in faults.lost
+            for shard in shards_by_device[device]
         )
-        snapshots: dict[int, SessionSnapshot] = {}
-        if store is not None:
-            for device in lost_devices:
-                checkpoint = store.latest(device)
-                if checkpoint is not None:
-                    snapshots.update(checkpoint.snapshots)
+        survivors, snapshots, report.faults = recovery_inputs(
+            faults, pool.n_devices, lost_shards
+        )
+        report.faults["recovered_shards"] = len(lost_shards)
         regrouped: dict[int, list[int]] = {}
         for position, shard in enumerate(lost_shards):
             survivor = survivors[position % len(survivors)]
@@ -649,89 +585,10 @@ def _cascade_solve(
             "cascade_recovery",
             n_shards=len(lost_shards),
             n_survivors=len(survivors),
-            resumed_from_checkpoint=sum(
-                1 for shard in lost_shards if shard in snapshots
-            ),
+            resumed_from_checkpoint=report.faults["resumed_from_checkpoint"],
         ):
             for survivor in sorted(regrouped):
-                shards_here = regrouped[survivor]
-                master = pool.engine(survivor)
-                if tracer is not None:
-                    tracer.bind_clock(master.clock)
-                resident = int(
-                    round(sum(shards[s].size for s in shards_here) * per_row)
-                )
-                with maybe_span(
-                    tracer,
-                    "cascade_shard_wave",
-                    clock=master.clock,
-                    device=survivor,
-                    n_shards=len(shards_here),
-                    resident_bytes=resident,
-                    recovery=True,
-                ):
-                    pool.host_to_device(survivor, resident)
-                    restore_bytes = sum(
-                        snapshots[s].nbytes
-                        for s in shards_here
-                        if s in snapshots
-                    )
-                    if restore_bytes:
-                        pool.host_to_device(
-                            survivor, restore_bytes, category="checkpoint"
-                        )
-                    recovered = [
-                        _make_shard_member(
-                            config, shard, shards[shard], data, labels,
-                            kernel, penalty, weighted_box, master.counters,
-                        )
-                        for shard in shards_here
-                    ]
-                    if injector is not None:
-                        rate = injector.straggler_rate(survivor)
-                        if rate != 1.0:
-                            for member in recovered:
-                                member.engine.clock.rate = rate
-                    for member in recovered:
-                        snapshot = snapshots.get(member.index)
-                        if snapshot is not None:
-                            member.session.restore_state(
-                                {
-                                    "alpha": snapshot.alpha,
-                                    "f": snapshot.f,
-                                    "rounds": snapshot.rounds,
-                                    "inner_total": snapshot.inner_total,
-                                    "ws_order": list(snapshot.ws_order),
-                                    "stalled": snapshot.stalled,
-                                    "converged": snapshot.converged,
-                                    "finished": snapshot.finished,
-                                }
-                            )
-                    limits = _interleave_limits(config, resident)
-                    outcome = run_interleaved(
-                        recovered,
-                        limits,
-                        tracer=tracer,
-                        span_clock=master.clock,
-                    )
-                    member_clocks[survivor].merge(outcome.timeline)
-                    shard_seconds = max(
-                        shard_seconds, outcome.timeline.elapsed_s
-                    )
-                    for member in recovered:
-                        results[member.index] = member.result
-                if tracer is not None:
-                    tracer.bind_clock(None)
-        report.faults = {
-            "devices_lost": {
-                int(d): float(at) for d, at in sorted(lost_devices.items())
-            },
-            "survivors": [int(d) for d in survivors],
-            "recovered_shards": len(lost_shards),
-            "resumed_from_checkpoint": sum(
-                1 for shard in lost_shards if shard in snapshots
-            ),
-        }
+                run_device(survivor, regrouped[survivor], snapshots)
 
     # Collapse the shard results into tree slots (SVs only).
     slots: dict[int, _Slot] = {}
@@ -1011,31 +868,19 @@ def train_cascade(
             "cascade training drives resumable batched-SMO sessions; "
             f"solver {config.solver!r} is not shardable"
         )
-    if checkpoint_every < 1:
-        raise ValidationError(
-            f"checkpoint_every must be >= 1, got {checkpoint_every}"
-        )
+    faults = open_faults(
+        fault_plan, cluster.n_devices, checkpoint_every, checkpoint_dir
+    )
     if config.device is not cluster.device:
         config = replace(config, device=cluster.device)
     cascade = cascade if cascade is not None else CascadeConfig()
-    injector = (
-        FaultInjector(fault_plan, cluster.n_devices)
-        if fault_plan is not None and not fault_plan.is_empty
-        else None
-    )
-    store_root = None if checkpoint_dir == ":memory:" else checkpoint_dir
-    store = (
-        CheckpointStore(store_root)
-        if injector is not None or checkpoint_dir is not None
-        else None
-    )
     pool = DevicePool(
         cluster,
         flop_efficiency=config.flop_efficiency,
         bandwidth_efficiency=config.bandwidth_efficiency,
         backend=config.backend,
         tracer=tracer,
-        fault_injector=injector,
+        fault_injector=faults.injector,
     )
     member_clocks = [SimClock() for _ in range(cluster.n_devices)]
     with maybe_span(
@@ -1054,9 +899,7 @@ def train_cascade(
             np.asarray(y).ravel(),
             kernel,
             penalty,
-            injector=injector,
-            store=store,
-            checkpoint_every=checkpoint_every,
+            faults=faults,
             member_clocks=member_clocks,
             tracer=tracer,
         )
@@ -1064,13 +907,7 @@ def train_cascade(
             pool.engine(d).clock.elapsed_s + member_clocks[d].elapsed_s
             for d in range(cluster.n_devices)
         )
-        if injector is not None:
-            faults = injector.summary()
-            faults["checkpoints_written"] = store.n_written if store else 0
-            faults["recovery"] = report.faults
-            report.faults = faults
-        elif store is not None and store.n_written:
-            report.faults = {"checkpoints_written": store.n_written}
+        report.faults = fault_summary(faults, report.faults)
         span.set(
             simulated_seconds=report.simulated_seconds,
             final_gap=report.final_gap,

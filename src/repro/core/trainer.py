@@ -632,39 +632,16 @@ def _run_cascade_pairs(
                 member_clocks=member_clocks,
                 tracer=tracer,
             )
-            finalize_engine = make_engine(
-                config.device,
-                flop_efficiency=config.flop_efficiency,
-                bandwidth_efficiency=config.bandwidth_efficiency,
-                backend=config.backend,
-                counters=master.counters,
+            finals[index], finalize_engine = _finalize_cascade_pair(
+                config, master.counters, problem, result, casc_report,
+                data, kernel, penalty, penalty_vector, pair_data,
+                pair_span=pair_span,
             )
-            record, pool_entry, svm_stats = _finalize_pair(
-                config, finalize_engine, problem, result, data, kernel,
-                penalty, penalty_vector=penalty_vector, pair_span=pair_span,
-                pair_data=pair_data,
-            )
-            svm_stats["warm_start"] = False
-            svm_stats["simulated_seconds"] = (
+            finals[index][2]["simulated_seconds"] = (
                 pool.engine(0).clock.elapsed_s
                 + member_clocks[0].elapsed_s
                 + finalize_engine.clock.elapsed_s
             )
-            svm_stats["cascade"] = {
-                "n_shards": casc_report.n_shards,
-                "feedback_rounds": casc_report.feedback_rounds,
-                "final_gap": casc_report.final_gap,
-                "gap_budget": casc_report.gap_budget,
-                "budget_met": casc_report.budget_met,
-                "sv_survival": casc_report.sv_survival,
-                "transfer_bytes": dict(casc_report.transfer_bytes),
-                "levels": [
-                    {k: v for k, v in level.items()
-                     if k not in ("merges", "shards")}
-                    for level in casc_report.levels
-                ],
-            }
-            finals[index] = (record, pool_entry, svm_stats)
         if tracer is not None:
             # _cascade_solve unbinds its wave clocks on exit; restore the
             # run-wide default axis for subsequent clock-less spans.
@@ -676,6 +653,55 @@ def _run_cascade_pairs(
         cascade_clock.merge(finalize_engine.clock)
         master.counters.merge(pool.engine(0).counters)
     return total_iterations, total_rows
+
+
+def _finalize_cascade_pair(
+    config: TrainerConfig,
+    counters,
+    problem,
+    result,
+    casc_report,
+    data: mops.MatrixLike,
+    kernel: KernelFunction,
+    penalty: float,
+    penalty_vector: Optional[np.ndarray],
+    pair_data: mops.MatrixLike,
+    *,
+    pair_span=None,
+):
+    """:func:`_finalize_pair` for a cascade-routed pair, on a fresh engine.
+
+    The engine shares ``counters`` with the device that owns the pair.
+    Adds the pair's ``"cascade"`` stats block and returns ``((record,
+    pool_entry, svm_stats), engine)``.
+    """
+    engine = make_engine(
+        config.device,
+        flop_efficiency=config.flop_efficiency,
+        bandwidth_efficiency=config.bandwidth_efficiency,
+        backend=config.backend,
+        counters=counters,
+    )
+    record, pool_entry, svm_stats = _finalize_pair(
+        config, engine, problem, result, data, kernel, penalty,
+        penalty_vector=penalty_vector, pair_span=pair_span,
+        pair_data=pair_data,
+    )
+    svm_stats["warm_start"] = False
+    svm_stats["cascade"] = {
+        "n_shards": casc_report.n_shards,
+        "feedback_rounds": casc_report.feedback_rounds,
+        "final_gap": casc_report.final_gap,
+        "gap_budget": casc_report.gap_budget,
+        "budget_met": casc_report.budget_met,
+        "sv_survival": casc_report.sv_survival,
+        "transfer_bytes": dict(casc_report.transfer_bytes),
+        "levels": [
+            {k: v for k, v in level.items() if k not in ("merges", "shards")}
+            for level in casc_report.levels
+        ],
+    }
+    return (record, pool_entry, svm_stats), engine
 
 
 def _finalize_pair(

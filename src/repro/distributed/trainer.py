@@ -40,28 +40,28 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.core.interleave import run_interleaved
 from repro.core.trainer import (
     TrainerConfig,
     _class_weighted_penalties,
+    _finalize_cascade_pair,
     _finalize_member,
-    _finalize_pair,
     _interleave_limits,
     _make_pair_member,
     _make_shared_store,
 )
 from repro.distributed.cluster import ClusterSpec, DevicePool
 from repro.distributed.placement import plan_placement
-from repro.exceptions import DeviceLostError, SolverError, ValidationError
-from repro.faults.checkpoint import (
-    CheckpointStore,
-    SessionSnapshot,
-    TrainingCheckpoint,
+from repro.exceptions import ValidationError
+from repro.faults.plan import FaultPlan
+from repro.faults.recovery import (
+    fault_summary,
+    open_faults,
+    recovery_inputs,
+    run_wave_group,
 )
-from repro.faults.plan import FaultInjector, FaultPlan
 from repro.gpusim.clock import SimClock
 from repro.gpusim.counters import OpCounters
-from repro.gpusim.engine import FLOAT_BYTES, make_engine
+from repro.gpusim.engine import FLOAT_BYTES
 from repro.kernels.functions import KernelFunction
 from repro.model.multiclass import MPSVMModel
 from repro.multiclass.decomposition import class_partition, pair_problems
@@ -188,22 +188,6 @@ def _record_payload_bytes(record) -> int:
     )
 
 
-def _member_snapshot(member) -> SessionSnapshot:
-    """One member's resumable solver state as a checkpoint snapshot."""
-    state = member.session.snapshot_state()
-    return SessionSnapshot(
-        problem_index=member.index,
-        alpha=state["alpha"],
-        f=state["f"],
-        rounds=state["rounds"],
-        inner_total=state["inner_total"],
-        ws_order=tuple(state["ws_order"]),
-        stalled=state["stalled"],
-        converged=state["converged"],
-        finished=state["finished"],
-    )
-
-
 def train_multiclass_sharded(
     config: TrainerConfig,
     cluster: ClusterSpec,
@@ -263,10 +247,9 @@ def train_multiclass_sharded(
     """
     tracer = config.tracer
     config = _check_config(config, cluster)
-    if checkpoint_every < 1:
-        raise ValidationError(
-            f"checkpoint_every must be >= 1, got {checkpoint_every}"
-        )
+    faults = open_faults(
+        fault_plan, cluster.n_devices, checkpoint_every, checkpoint_dir
+    )
     labels = np.asarray(y).ravel()
     classes, partition = class_partition(labels)
     if config.force_dense:
@@ -286,7 +269,7 @@ def train_multiclass_sharded(
                 "cascade must be a repro.cascade.CascadeConfig, got "
                 f"{type(cascade_cfg).__name__}"
             )
-        if fault_plan is not None and not fault_plan.is_empty:
+        if faults.injector is not None:
             raise ValidationError(
                 "cascade routing and fault injection cannot be combined "
                 "in sharded training; drive repro.cascade.train_cascade "
@@ -312,27 +295,13 @@ def train_multiclass_sharded(
         [small_indices[local] for local in plan.device_problems[device]]
         for device in range(cluster.n_devices)
     ]
-    injector = (
-        FaultInjector(fault_plan, cluster.n_devices)
-        if fault_plan is not None and not fault_plan.is_empty
-        else None
-    )
-    # ":memory:" opts into checkpointing (same simulated shipping cost)
-    # without persistence — what a fault-free baseline run uses to be
-    # timeline-comparable with a faulted one.
-    store_root = None if checkpoint_dir == ":memory:" else checkpoint_dir
-    store = (
-        CheckpointStore(store_root)
-        if injector is not None or checkpoint_dir is not None
-        else None
-    )
     pool = DevicePool(
         cluster,
         flop_efficiency=config.flop_efficiency,
         bandwidth_efficiency=config.bandwidth_efficiency,
         backend=config.backend,
         tracer=tracer,
-        fault_injector=injector,
+        fault_injector=faults.injector,
     )
     block_bytes = _class_block_bytes(data, partition)
 
@@ -352,14 +321,12 @@ def train_multiclass_sharded(
              "max_concurrency": 1, "wave_trace": None, "lost": False}
             for _ in range(cluster.n_devices)
         ]
-        max_concurrency = 1
         # Final problem ownership: starts at the plan, moves to survivors
         # when a loss forces re-placement (drives the merge payloads).
         # Cascade-routed pairs land on their reduction-tree root device.
         owner = [0] * len(problems)
         for position, index in enumerate(small_indices):
             owner[index] = plan.assignments[position]
-        lost_devices: dict[int, float] = {}  # device -> simulated loss time
 
         # ----------------------------------------------------------
         # Cascade phase: the routed pairs train instance-sharded over
@@ -384,40 +351,16 @@ def train_multiclass_sharded(
                 kernel,
                 penalty,
                 penalty_vector=penalty_vector,
-                store=store,
-                checkpoint_every=checkpoint_every,
+                faults=faults,
                 member_clocks=member_clocks,
                 tracer=tracer,
             )
             root_device = int(casc_report.tree["root_device"])
             owner[index] = root_device
-            finalize_engine = make_engine(
-                config.device,
-                flop_efficiency=config.flop_efficiency,
-                bandwidth_efficiency=config.bandwidth_efficiency,
-                backend=config.backend,
-                counters=pool.engine(root_device).counters,
+            finals[index], finalize_engine = _finalize_cascade_pair(
+                config, pool.engine(root_device).counters, problem, result,
+                casc_report, data, kernel, penalty, penalty_vector, pair_data,
             )
-            record, pool_entry, svm_stats = _finalize_pair(
-                config, finalize_engine, problem, result, data, kernel,
-                penalty, penalty_vector=penalty_vector, pair_data=pair_data,
-            )
-            svm_stats["warm_start"] = False
-            svm_stats["cascade"] = {
-                "n_shards": casc_report.n_shards,
-                "feedback_rounds": casc_report.feedback_rounds,
-                "final_gap": casc_report.final_gap,
-                "gap_budget": casc_report.gap_budget,
-                "budget_met": casc_report.budget_met,
-                "sv_survival": casc_report.sv_survival,
-                "transfer_bytes": dict(casc_report.transfer_bytes),
-                "levels": [
-                    {k: v for k, v in level.items()
-                     if k not in ("merges", "shards")}
-                    for level in casc_report.levels
-                ],
-            }
-            finals[index] = (record, pool_entry, svm_stats)
             member_clocks[root_device].merge(finalize_engine.clock)
             stats = device_stats[root_device]
             stats["iterations"] += result.iterations
@@ -433,27 +376,33 @@ def train_multiclass_sharded(
             if tracer is not None:
                 tracer.bind_clock(None)
 
-        for device in range(cluster.n_devices):
-            problem_indices = device_problems[device]
+        def run_device(device, indices, upload, snapshots=None):
+            # Ship ``upload`` class-block bytes to ``device``, then train
+            # and finalize ``indices`` there as one wave group (a recovery
+            # group when ``snapshots`` is given).
             master = pool.engine(device)
+            stats = device_stats[device]
             if tracer is not None:
                 tracer.bind_clock(master.clock)
-            resident = sum(
-                block_bytes[c] for c in sorted(plan.device_classes[device])
-            )
-            device_stats[device]["resident_bytes"] = resident
             with maybe_span(
                 tracer,
                 "cluster_wave",
                 clock=master.clock,
                 device=device,
-                n_svms=len(problem_indices),
-                resident_bytes=resident,
+                n_svms=len(indices),
+                resident_bytes=upload,
+                **({} if snapshots is None else {"recovery": True}),
             ) as device_span:
-                # Ship this device's class blocks over the host link.
-                pool.host_to_device(device, resident)
-                if not problem_indices:
-                    continue
+                pool.host_to_device(device, upload)
+                stats["resident_bytes"] += upload
+                if not indices:
+                    return
+                restored = snapshots or {}
+                pool.host_to_device(
+                    device,
+                    sum(restored[i].nbytes for i in indices if i in restored),
+                    category="checkpoint",
+                )
                 shared, shared_computer = _make_shared_store(
                     config, master, kernel, data, classes, partition
                 )
@@ -470,86 +419,29 @@ def train_multiclass_sharded(
                         shared_computer=shared_computer,
                         counters=master.counters,
                     )
-                    for index in problem_indices
+                    for index in indices
                 ]
-                if injector is not None:
-                    rate = injector.straggler_rate(device)
-                    if rate != 1.0:
-                        for member in members:
-                            member.engine.clock.rate = rate
-                loss_at = (
-                    injector.loss_time(device) if injector is not None else None
+                outcome = run_wave_group(
+                    faults,
+                    pool,
+                    device,
+                    members,
+                    _interleave_limits(config, stats["resident_bytes"]),
+                    shared=shared,
+                    tracer=tracer,
+                    snapshots=snapshots,
                 )
-                on_wave = None
-                if loss_at is not None or store is not None:
-
-                    def on_wave(
-                        wave_index,
-                        running,
-                        finished,
-                        wave_outcome,
-                        *,
-                        _device=device,
-                        _members=members,
-                        _master=master,
-                        _loss_at=loss_at,
-                    ):
-                        # Device time so far: master charges (transfers,
-                        # prefetches) plus the wave-scaled member time.
-                        now_s = (
-                            _master.clock.elapsed_s
-                            + wave_outcome.timeline.elapsed_s
-                        )
-                        # Loss first: a checkpoint "taken" on the wave
-                        # that crosses the loss time would never have
-                        # reached the host.
-                        if _loss_at is not None and now_s >= _loss_at:
-                            injector.check_device(_device, now_s)
-                        if store is not None and wave_index % checkpoint_every == 0:
-                            checkpoint = TrainingCheckpoint(
-                                device=_device,
-                                wave=wave_index,
-                                simulated_s=now_s,
-                                snapshots={
-                                    m.index: _member_snapshot(m)
-                                    for m in _members
-                                },
-                            )
-                            pool.device_to_host(
-                                _device,
-                                checkpoint.nbytes,
-                                category="checkpoint",
-                            )
-                            store.save(checkpoint)
-
-                limits = _interleave_limits(config, resident)
-                try:
-                    outcome = run_interleaved(
-                        members,
-                        limits,
-                        shared=shared,
-                        tracer=tracer,
-                        span_clock=master.clock,
-                        on_wave=on_wave,
-                    )
-                except DeviceLostError as exc:
-                    # Everything resident on the device dies with it —
-                    # nothing finalizes here; recovery resumes the
-                    # device's problems on survivors from the last
-                    # shipped checkpoint (possibly from scratch).  Its
-                    # clock stops at the loss, so the inflated makespan
-                    # is carried by the survivors that absorb the work.
-                    lost_devices[device] = exc.at_s
-                    device_stats[device]["lost"] = True
-                    device_span.set(lost=True, lost_at_s=exc.at_s)
-                    continue
-                max_concurrency = max(max_concurrency, outcome.max_concurrency)
+                if outcome is None:
+                    # Nothing finalizes on a lost device; recovery
+                    # resumes its problems on the survivors.
+                    stats["lost"] = True
+                    device_span.set(lost=True, lost_at_s=faults.lost[device])
+                    return
 
                 # Finalize this device's members (assembly restores global
                 # order below; finalization order is irrelevant to the
                 # numerics and each charge lands on its own engine).
                 finalize_clock = SimClock()
-                stats = device_stats[device]
                 for member in members:
                     finals[member.index] = _finalize_member(
                         config, classes, member, data, kernel, penalty, tracer
@@ -557,11 +449,15 @@ def train_multiclass_sharded(
                     finalize_clock.merge(finals[member.index][3])
                     stats["iterations"] += member.result.iterations
                     stats["kernel_rows"] += member.result.kernel_rows_computed
-
+                    owner[member.index] = device
                 member_clocks[device].merge(outcome.timeline)
                 member_clocks[device].merge(finalize_clock)
-                stats["max_concurrency"] = outcome.max_concurrency
-                stats["wave_trace"] = outcome.wave_trace
+                stats["max_concurrency"] = max(
+                    stats["max_concurrency"], outcome.max_concurrency
+                )
+                stats["wave_trace"] = (
+                    stats["wave_trace"] or []
+                ) + outcome.wave_trace
                 device_span.set(
                     simulated_seconds=(
                         master.clock.elapsed_s
@@ -573,6 +469,13 @@ def train_multiclass_sharded(
             if tracer is not None:
                 tracer.bind_clock(None)
 
+        for device in range(cluster.n_devices):
+            run_device(
+                device,
+                device_problems[device],
+                sum(block_bytes[c] for c in sorted(plan.device_classes[device])),
+            )
+
         # --------------------------------------------------------------
         # Recovery: re-place every lost device's problems onto the
         # survivors (same planner, elastic) and resume them from the
@@ -581,26 +484,16 @@ def train_multiclass_sharded(
         # bitwise the fault-free one; only the timeline pays.
         # --------------------------------------------------------------
         recovery: dict = {}
-        if lost_devices:
-            survivors = [
-                d for d in range(cluster.n_devices) if d not in lost_devices
-            ]
-            if not survivors:
-                raise SolverError(
-                    "every device in the cluster was lost; nothing "
-                    "survives to recover on"
-                )
+        if faults.lost:
             lost_indices = sorted(
                 index
-                for device in lost_devices
+                for device in faults.lost
                 for index in device_problems[device]
             )
-            snapshots: dict[int, SessionSnapshot] = {}
-            if store is not None:
-                for device in lost_devices:
-                    checkpoint = store.latest(device)
-                    if checkpoint is not None:
-                        snapshots.update(checkpoint.snapshots)
+            survivors, snapshots, recovery = recovery_inputs(
+                faults, cluster.n_devices, lost_indices
+            )
+            recovery["recovered_problems"] = len(lost_indices)
             replan = plan_placement(
                 [problems[index] for index in lost_indices],
                 len(survivors),
@@ -611,148 +504,28 @@ def train_multiclass_sharded(
                 "fault_recovery",
                 n_problems=len(lost_indices),
                 n_survivors=len(survivors),
-                resumed_from_checkpoint=sum(
-                    1 for index in lost_indices if index in snapshots
-                ),
+                resumed_from_checkpoint=recovery["resumed_from_checkpoint"],
             ):
                 for position, survivor in enumerate(survivors):
-                    local = replan.device_problems[position]
-                    if not local:
+                    indices = [
+                        lost_indices[j] for j in replan.device_problems[position]
+                    ]
+                    if not indices:
                         continue
-                    indices = [lost_indices[j] for j in local]
-                    master = pool.engine(survivor)
-                    if tracer is not None:
-                        tracer.bind_clock(master.clock)
-                    stats = device_stats[survivor]
                     # Class blocks these problems need beyond what the
-                    # survivor already holds, plus the checkpoint upload.
-                    needed: set = set()
-                    for index in indices:
-                        needed.update(
-                            (problems[index].s, problems[index].t)
-                        )
-                    already = set(plan.device_classes[survivor])
-                    extra = sum(
-                        block_bytes[c] for c in sorted(needed - already)
+                    # survivor already holds.
+                    needed = {
+                        c
+                        for index in indices
+                        for c in (problems[index].s, problems[index].t)
+                    }
+                    extra = needed - set(plan.device_classes[survivor])
+                    run_device(
+                        survivor,
+                        indices,
+                        sum(block_bytes[c] for c in sorted(extra)),
+                        snapshots,
                     )
-                    with maybe_span(
-                        tracer,
-                        "cluster_wave",
-                        clock=master.clock,
-                        device=survivor,
-                        n_svms=len(indices),
-                        resident_bytes=extra,
-                        recovery=True,
-                    ) as recovery_span:
-                        if extra:
-                            pool.host_to_device(survivor, extra)
-                        restore_bytes = sum(
-                            snapshots[index].nbytes
-                            for index in indices
-                            if index in snapshots
-                        )
-                        if restore_bytes:
-                            pool.host_to_device(
-                                survivor, restore_bytes, category="checkpoint"
-                            )
-                        shared, shared_computer = _make_shared_store(
-                            config, master, kernel, data, classes, partition
-                        )
-                        recovered = [
-                            _make_pair_member(
-                                config,
-                                classes,
-                                index,
-                                problems[index],
-                                penalty,
-                                data,
-                                kernel,
-                                shared=shared,
-                                shared_computer=shared_computer,
-                                counters=master.counters,
-                            )
-                            for index in indices
-                        ]
-                        rate = injector.straggler_rate(survivor)
-                        if rate != 1.0:
-                            for member in recovered:
-                                member.engine.clock.rate = rate
-                        for member in recovered:
-                            snapshot = snapshots.get(member.index)
-                            if snapshot is not None:
-                                member.session.restore_state(
-                                    {
-                                        "alpha": snapshot.alpha,
-                                        "f": snapshot.f,
-                                        "rounds": snapshot.rounds,
-                                        "inner_total": snapshot.inner_total,
-                                        "ws_order": list(snapshot.ws_order),
-                                        "stalled": snapshot.stalled,
-                                        "converged": snapshot.converged,
-                                        "finished": snapshot.finished,
-                                    }
-                                )
-                        limits = _interleave_limits(
-                            config, stats["resident_bytes"] + extra
-                        )
-                        outcome = run_interleaved(
-                            recovered,
-                            limits,
-                            shared=shared,
-                            tracer=tracer,
-                            span_clock=master.clock,
-                        )
-                        max_concurrency = max(
-                            max_concurrency, outcome.max_concurrency
-                        )
-                        finalize_clock = SimClock()
-                        for member in recovered:
-                            finals[member.index] = _finalize_member(
-                                config,
-                                classes,
-                                member,
-                                data,
-                                kernel,
-                                penalty,
-                                tracer,
-                            )
-                            finalize_clock.merge(finals[member.index][3])
-                            stats["iterations"] += member.result.iterations
-                            stats["kernel_rows"] += (
-                                member.result.kernel_rows_computed
-                            )
-                            owner[member.index] = survivor
-                        member_clocks[survivor].merge(outcome.timeline)
-                        member_clocks[survivor].merge(finalize_clock)
-                        stats["resident_bytes"] += extra
-                        stats["max_concurrency"] = max(
-                            int(stats["max_concurrency"]),
-                            outcome.max_concurrency,
-                        )
-                        if stats["wave_trace"] is None:
-                            stats["wave_trace"] = list(outcome.wave_trace)
-                        else:
-                            stats["wave_trace"].extend(outcome.wave_trace)
-                        recovery_span.set(
-                            simulated_seconds=(
-                                master.clock.elapsed_s
-                                + member_clocks[survivor].elapsed_s
-                            ),
-                            iterations=stats["iterations"],
-                        )
-                    if tracer is not None:
-                        tracer.bind_clock(None)
-            recovery = {
-                "devices_lost": {
-                    int(device): float(lost_devices[device])
-                    for device in sorted(lost_devices)
-                },
-                "survivors": [int(d) for d in survivors],
-                "recovered_problems": len(lost_indices),
-                "resumed_from_checkpoint": sum(
-                    1 for index in lost_indices if index in snapshots
-                ),
-            }
 
         # --------------------------------------------------------------
         # Cross-device SV merge: gather every shard's binary models to
@@ -760,7 +533,7 @@ def train_multiclass_sharded(
         # order.  The root is the lowest *surviving* device.
         # --------------------------------------------------------------
         root = next(
-            d for d in range(cluster.n_devices) if d not in lost_devices
+            d for d in range(cluster.n_devices) if d not in faults.lost
         )
         merge_bytes = 0
         root_engine = pool.engine(root)
@@ -774,7 +547,7 @@ def train_multiclass_sharded(
             n_binary_svms=len(problems),
         ) as merge_span:
             for device in range(cluster.n_devices):
-                if device == root or device in lost_devices:
+                if device == root or device in faults.lost:
                     continue
                 payload = sum(
                     _record_payload_bytes(finals[index][0])
@@ -849,14 +622,6 @@ def train_multiclass_sharded(
             },
         )
 
-        faults: dict = {}
-        if injector is not None:
-            faults = injector.summary()
-            faults["checkpoints_written"] = store.n_written if store else 0
-            faults["recovery"] = recovery
-        elif store is not None and store.n_written:
-            faults = {"checkpoints_written": store.n_written}
-
         combined = SimClock()
         counters = OpCounters()
         for clock in device_clocks:
@@ -881,14 +646,16 @@ def train_multiclass_sharded(
             kernel_rows_computed=sum(
                 stats["kernel_rows"] for stats in device_stats
             ),
-            max_concurrency=max_concurrency,
+            max_concurrency=max(
+                int(stats["max_concurrency"]) for stats in device_stats
+            ),
             cluster_speedup=(busy_total / makespan if makespan > 0 else 1.0),
             transfer_bytes_total=pool.total_transfer_bytes,
             merge_bytes=merge_bytes,
             placement=placement_summary,
             per_device=per_device,
             per_svm=per_svm_stats,
-            faults=faults,
+            faults=fault_summary(faults, recovery),
             cascade=cascade_entries,
             transfer_tier_bytes=dict(pool.tier_bytes),
         )

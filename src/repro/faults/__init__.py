@@ -14,6 +14,10 @@ simulation:
   resumable solver sessions; a restored session replays bitwise the
   rounds the lost device would have run, which is what makes the
   recovered model provably identical to the fault-free one.
+- :mod:`~repro.faults.recovery` — internal: the one fault protocol
+  around a device's wave group (stragglers, loss-before-checkpoint,
+  checkpoint shipping, snapshot restore, survivor selection) that
+  pair-sharded and cascade training share.  Not re-exported.
 
 The fault model is *fail-slow or fail-stop, never fail-wrong*: injected
 faults stretch simulated timelines and destroy device-resident state,

@@ -73,6 +73,28 @@ class SessionSnapshot:
     converged: bool
     finished: bool
 
+    @classmethod
+    def capture(cls, index: int, session) -> "SessionSnapshot":
+        """Snapshot a resumable solver session as problem ``index``."""
+        state = session.snapshot_state()
+        state["ws_order"] = tuple(state["ws_order"])
+        return cls(problem_index=index, **state)
+
+    def restore(self, session) -> None:
+        """Overwrite a fresh session's state with this snapshot's."""
+        session.restore_state(
+            {
+                "alpha": self.alpha,
+                "f": self.f,
+                "rounds": self.rounds,
+                "inner_total": self.inner_total,
+                "ws_order": self.ws_order,
+                "stalled": self.stalled,
+                "converged": self.converged,
+                "finished": self.finished,
+            }
+        )
+
     @property
     def n(self) -> int:
         """Instance count of the binary problem."""

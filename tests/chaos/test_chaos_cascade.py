@@ -197,3 +197,69 @@ class TestHierarchicalChaos:
         # The rebuilt tree still respects the topology: at most
         # n_nodes - 1 merges cross the node boundary.
         assert report.tree["tier_counts"]["inter"] <= cluster.n_nodes - 1
+
+
+class TestSharedFaultPlumbing:
+    """The fault protocol the cascade shares with pair-sharded training."""
+
+    def test_straggler_only_plan_stretches_only_the_timeline(
+        self, cluster, workload, baseline
+    ):
+        base_result, base_report = baseline
+        plan = FaultPlan(stragglers={0: 2.0, 2: 1.5})
+        result, report = _train(cluster, workload, fault_plan=plan)
+        assert np.array_equal(result.alpha, base_result.alpha)
+        assert result.bias == base_result.bias
+        assert report.simulated_seconds > base_report.simulated_seconds
+        assert report.faults["devices_lost"] == []
+        assert report.faults["recovery"] == {}
+
+    def test_losing_every_device_is_an_explicit_error(
+        self, cluster, workload
+    ):
+        from repro.exceptions import SolverError
+
+        plan = FaultPlan(
+            losses=[DeviceLoss(device=d, at_s=0.0) for d in range(N_DEVICES)]
+        )
+        with pytest.raises(SolverError, match="nothing survives"):
+            _train(cluster, workload, fault_plan=plan)
+
+    def test_recovery_spans_cover_every_survivor_with_work(
+        self, cluster, workload
+    ):
+        from dataclasses import replace
+
+        from repro.telemetry import Tracer
+
+        x, labels, kernel, config = workload
+        tracer = Tracer()
+        plan = FaultPlan(
+            losses=[DeviceLoss(device=1, at_s=1e-6), DeviceLoss(3, 1e-6)]
+        )
+        _, report = _train(
+            cluster,
+            (x, labels, kernel, replace(config, tracer=tracer)),
+            fault_plan=plan,
+            checkpoint_every=2,
+        )
+        records = tracer.to_records()
+        (recovery_span,) = [
+            r for r in records if r["name"] == "cascade_recovery"
+        ]
+        waves = [r for r in records if r["name"] == "cascade_shard_wave"]
+        recovered = [r for r in waves if r["attrs"].get("recovery")]
+        recovery = report.faults["recovery"]
+        assert len(waves) - len(recovered) == N_DEVICES
+        devices = [r["attrs"]["device"] for r in recovered]
+        assert len(recovered) == 2
+        assert len(set(devices)) == len(devices)
+        assert set(devices) <= set(recovery["survivors"])
+        assert (
+            sum(r["attrs"]["n_shards"] for r in recovered)
+            == recovery["recovered_shards"]
+            == recovery_span["attrs"]["n_shards"]
+        )
+        assert all(
+            r["parent_id"] == recovery_span["span_id"] for r in recovered
+        )

@@ -291,3 +291,68 @@ class TestCheckpointDurability:
     def test_checkpoint_every_validated(self, workload, cluster):
         with pytest.raises(ValidationError, match="checkpoint_every"):
             _train(cluster, workload, checkpoint_every=0)
+
+    def test_cascade_routed_checkpoints_persist_without_overwrite(
+        self, tmp_path
+    ):
+        # Every cascade-routed pair runs its own shard wave groups before
+        # the pair phase, all on the same devices: each persisted
+        # checkpoint still needs its own file.
+        from repro.cascade import CascadeConfig
+
+        x, y = gaussian_blobs(n=600, n_features=8, n_classes=3, seed=3)
+        kernel = kernel_from_name("gaussian", gamma=0.4)
+        config = TrainerConfig(device=scaled_tesla_p100(), working_set_size=24)
+        cluster = ClusterSpec(device=scaled_tesla_p100(), n_devices=2)
+        _, report = _train(
+            cluster,
+            (x, y, kernel, config),
+            cascade=CascadeConfig(n_shards=2, threshold=300),
+            checkpoint_dir=tmp_path,
+            checkpoint_every=1,
+        )
+        assert report.placement["cascade_routed"]
+        written = sorted(tmp_path.glob("ckpt-d*-w*.json"))
+        assert report.faults["checkpoints_written"] == len(written)
+
+
+class TestRecoveryTelemetry:
+    def test_recovery_spans_cover_every_survivor_with_work(
+        self, workload, cluster, baseline
+    ):
+        from dataclasses import replace
+
+        from repro.telemetry import Tracer
+
+        _, base_report = baseline
+        x, y, kernel, config = workload
+        tracer = Tracer()
+        plan = FaultPlan(
+            losses=(DeviceLoss(1, base_report.simulated_seconds * 0.3),)
+        )
+        _, report = _train(
+            cluster,
+            (x, y, kernel, replace(config, tracer=tracer)),
+            fault_plan=plan,
+            checkpoint_every=2,
+        )
+        records = tracer.to_records()
+        (recovery_span,) = [
+            r for r in records if r["name"] == "fault_recovery"
+        ]
+        waves = [r for r in records if r["name"] == "cluster_wave"]
+        recovered = [r for r in waves if r["attrs"].get("recovery")]
+        recovery = report.faults["recovery"]
+        assert len(waves) - len(recovered) == N_DEVICES
+        devices = [r["attrs"]["device"] for r in recovered]
+        assert len(set(devices)) == len(devices)
+        assert set(devices) <= set(recovery["survivors"])
+        assert all(r["attrs"]["n_svms"] > 0 for r in recovered)
+        assert (
+            sum(r["attrs"]["n_svms"] for r in recovered)
+            == recovery["recovered_problems"]
+            == recovery_span["attrs"]["n_problems"]
+        )
+        assert all(
+            r["parent_id"] == recovery_span["span_id"] for r in recovered
+        )

@@ -159,19 +159,27 @@ class TestSnapshotRestore:
         expected = reference.finish()
 
         # Run a twin a few rounds, snapshot, restore into a fresh
-        # session, and drive that to convergence.
-        source = make()
-        finished_early = _drive(source, rounds=3)
-        assert not finished_early
-        state = source.snapshot_state()
+        # session, and drive that to convergence: once through the raw
+        # state dict, once through a SessionSnapshot's JSON round trip.
+        def via_state(source, resumed):
+            resumed.restore_state(source.snapshot_state())
 
-        resumed = make()
-        resumed.restore_state(state)
-        _drive(resumed)
-        result = resumed.finish()
-        assert np.array_equal(expected.alpha, result.alpha)
-        assert expected.bias == result.bias
-        assert expected.iterations == result.iterations
+        def via_snapshot_json(source, resumed):
+            snapshot = SessionSnapshot.capture(0, source)
+            SessionSnapshot.from_json(snapshot.to_json()).restore(resumed)
+
+        for restore in (via_state, via_snapshot_json):
+            source = make()
+            finished_early = _drive(source, rounds=3)
+            assert not finished_early
+
+            resumed = make()
+            restore(source, resumed)
+            _drive(resumed)
+            result = resumed.finish()
+            assert np.array_equal(expected.alpha, result.alpha)
+            assert expected.bias == result.bias
+            assert expected.iterations == result.iterations
 
     def test_snapshot_mid_round_rejected(self):
         session = _session_factory()()
